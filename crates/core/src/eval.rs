@@ -1,24 +1,47 @@
 //! Epoch evaluation and the train/eval wall-clock split.
 //!
 //! Evaluation (full objective + error rate) costs as much as a training
-//! epoch, so (a) it is parallelized with rayon — it sits *outside* the
-//! lock-free hot path — and (b) its time is excluded from the trace's
-//! wall-clock, matching the paper's convention of plotting training time.
+//! epoch, so (a) it runs one scoped thread per row chunk — it sits
+//! *outside* the lock-free hot path — and (b) its time is excluded from the
+//! trace's wall-clock, matching the paper's convention of plotting training
+//! time.
+//!
+//! Results are bit-reproducible on a given host: the chunk boundaries
+//! depend only on `n` and `available_parallelism`, and the per-chunk
+//! partials are folded in chunk order.
 
 use isasgd_losses::{EvalMetrics, Loss, Objective, PartialEval};
 use isasgd_sparse::Dataset;
-use rayon::prelude::*;
+use std::ops::Range;
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
+
+/// The row chunks of `0..n`: one per available core, at least 1024 rows
+/// each (the last one may be short).
+fn chunks(n: usize) -> impl Iterator<Item = Range<usize>> {
+    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+    let chunk = (n / threads).max(1024);
+    (0..n)
+        .step_by(chunk)
+        .map(move |start| start..(start + chunk).min(n))
+}
+
+/// Joins a chunk's thread, re-raising its panic on the caller.
+fn join<T>(h: ScopedJoinHandle<'_, T>) -> T {
+    h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))
+}
 
 /// Parallel full-dataset evaluation.
 pub fn evaluate<L: Loss>(ds: &Dataset, obj: &Objective<L>, w: &[f64]) -> EvalMetrics {
-    let n = ds.n_samples();
-    let chunk = (n / rayon::current_num_threads().max(1)).max(1024);
-    let partial = (0..n)
-        .into_par_iter()
-        .step_by(chunk)
-        .map(|start| obj.eval_range(ds, w, start..(start + chunk).min(n)))
-        .reduce(PartialEval::default, PartialEval::merge);
+    let partial = std::thread::scope(|s| {
+        let handles: Vec<_> = chunks(ds.n_samples())
+            .map(|rows| s.spawn(move || obj.eval_range(ds, w, rows)))
+            .collect();
+        handles
+            .into_iter()
+            .map(join)
+            .fold(PartialEval::default(), PartialEval::merge)
+    });
     obj.finalize(partial, w)
 }
 
@@ -29,22 +52,22 @@ pub fn full_gradient<L: Loss>(ds: &Dataset, obj: &Objective<L>, w: &[f64], out: 
     let d = w.len();
     out.clear();
     out.resize(d, 0.0);
-    let threads = rayon::current_num_threads().max(1);
-    let chunk = (n / threads).max(1024);
-    let partials: Vec<Vec<f64>> = (0..n)
-        .into_par_iter()
-        .step_by(chunk)
-        .map(|start| {
-            let mut acc = vec![0.0; d];
-            obj.partial_gradient_into(ds, w, start..(start + chunk).min(n), n, &mut acc);
-            acc
-        })
-        .collect();
-    for p in partials {
-        for (o, x) in out.iter_mut().zip(p) {
-            *o += x;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = chunks(n)
+            .map(|rows| {
+                s.spawn(move || {
+                    let mut acc = vec![0.0; d];
+                    obj.partial_gradient_into(ds, w, rows, n, &mut acc);
+                    acc
+                })
+            })
+            .collect();
+        for p in handles.into_iter().map(join) {
+            for (o, x) in out.iter_mut().zip(p) {
+                *o += x;
+            }
         }
-    }
+    });
     for (o, &wj) in out.iter_mut().zip(w) {
         *o += obj.reg.grad_coord(wj);
     }

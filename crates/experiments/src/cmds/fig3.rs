@@ -11,7 +11,7 @@ use isasgd_core::{train, Algorithm, Execution, SvrgVariant, TrainConfig};
 use isasgd_datagen::PaperProfile;
 use isasgd_metrics::table::{fmt_num, TextTable};
 use isasgd_metrics::trace::best_error_curve_by_epoch;
-use isasgd_metrics::{interpolate::time_to_target, Trace};
+use isasgd_metrics::{interpolate::time_to_target, traces_to_json, Trace};
 
 /// Simulated workers backing each τ (the paper equates τ with threads; we
 /// shard data over min(τ, 8) workers to keep shards non-trivial).
@@ -136,8 +136,6 @@ pub fn run(ctx: &mut Ctx) -> Vec<Trace> {
     );
     ctx.write("fig3.txt", &rendered);
     ctx.write("fig3_curves.csv", &csv);
-    if let Ok(json) = serde_json::to_string_pretty(&traces) {
-        ctx.write("fig3_traces.json", &json);
-    }
+    ctx.write("fig3_traces.json", &traces_to_json(&traces));
     traces
 }

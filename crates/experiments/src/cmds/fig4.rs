@@ -14,7 +14,7 @@ use isasgd_core::{train, Algorithm, Execution, SvrgVariant, TrainConfig};
 use isasgd_datagen::PaperProfile;
 use isasgd_metrics::interpolate::time_to_error;
 use isasgd_metrics::table::{fmt_num, TextTable};
-use isasgd_metrics::Trace;
+use isasgd_metrics::{traces_to_json, Trace};
 
 /// Runs the Figure-4 sweep; returns all traces and writes
 /// `fig4_traces.json` for fig5/summary to reuse.
@@ -155,9 +155,7 @@ pub fn run(ctx: &mut Ctx) -> Vec<Trace> {
     );
     ctx.write("fig4.txt", &rendered);
     ctx.write("fig4_curves.csv", &csv);
-    if let Ok(json) = serde_json::to_string_pretty(&traces) {
-        ctx.write("fig4_traces.json", &json);
-    }
+    ctx.write("fig4_traces.json", &traces_to_json(&traces));
     traces
 }
 

@@ -8,13 +8,13 @@
 use crate::common::{error_grid, Ctx};
 use isasgd_metrics::speedup::speedup_curve;
 use isasgd_metrics::table::{fmt_num, TextTable};
-use isasgd_metrics::Trace;
+use isasgd_metrics::{traces_from_json, Trace};
 
 /// Loads fig4 traces from disk, or reruns fig4 when absent.
 fn fig4_traces(ctx: &mut Ctx) -> Vec<Trace> {
     let path = ctx.settings.out_dir.join("fig4_traces.json");
-    if let Ok(bytes) = std::fs::read(&path) {
-        if let Ok(traces) = serde_json::from_slice::<Vec<Trace>>(&bytes) {
+    if let Ok(text) = std::fs::read_to_string(&path) {
+        if let Ok(traces) = traces_from_json(&text) {
             eprintln!("[fig5] reusing {}", path.display());
             return traces;
         }

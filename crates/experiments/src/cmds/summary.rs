@@ -7,15 +7,15 @@
 use crate::common::Ctx;
 use isasgd_metrics::speedup::SpeedupSummary;
 use isasgd_metrics::table::{fmt_num, TextTable};
-use isasgd_metrics::Trace;
+use isasgd_metrics::{traces_from_json, Trace};
 
 /// Runs the summary aggregation.
 pub fn run(ctx: &mut Ctx) {
     println!("\n=== §4.2 summary: IS-ASGD speedup statistics ===\n");
     let path = ctx.settings.out_dir.join("fig4_traces.json");
-    let traces: Vec<Trace> = match std::fs::read(&path)
+    let traces: Vec<Trace> = match std::fs::read_to_string(&path)
         .ok()
-        .and_then(|b| serde_json::from_slice(&b).ok())
+        .and_then(|text| traces_from_json(&text).ok())
     {
         Some(t) => t,
         None => {

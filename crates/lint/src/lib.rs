@@ -36,7 +36,8 @@
 //!   the workspace's decode paths are macro-free and should stay so.
 //! * **Scoping is syntactic.** Test code is recognized as items under
 //!   `#[cfg(test)]` / `#[test]`; decode-side functions by name pattern
-//!   (`get_*`, `decode`, `recv`, the `Reader` impl — see
+//!   (`get_*`, `decode`, `recv`, the `Reader` and JSON `Parser` impls,
+//!   the saved-model loader — see
 //!   [`rules::DECODE_FILES`] and `rules::decode_scope`).
 //!
 //! The escape hatch is part of the contract: every `lint: allow` must

@@ -30,10 +30,12 @@ use crate::scan::SourceFile;
 /// (workspace-relative). The whole non-test file is covered by the
 /// unwrap/expect/panic rules; the index/cast/debug-assert rules narrow
 /// further to decode-side functions via [`decode_scope`].
-pub const DECODE_FILES: [&str; 3] = [
+pub const DECODE_FILES: [&str; 5] = [
     "crates/cluster/src/wire.rs",
     "crates/cluster/src/transport.rs",
     "crates/cluster/src/procnode.rs",
+    "crates/obs/src/json.rs",
+    "crates/model/src/saved.rs",
 ];
 
 /// Crates whose `src/` trees carry the bit-identity guarantees (the
@@ -88,6 +90,13 @@ fn decode_scope(path: &str, fn_name: &str, impl_name: &str) -> bool {
     } else if path.ends_with("cluster/src/procnode.rs") {
         // The whole worker module handles coordinator-sent frames.
         !fn_name.is_empty()
+    } else if path.ends_with("obs/src/json.rs") {
+        // The JSON codec's parser: every format read from disk goes here.
+        impl_name == "Parser" || fn_name == "parse" || fn_name == "parse_jsonl_line"
+    } else if path.ends_with("model/src/saved.rs") {
+        // Loading a saved model from a file; `to_dense` is not a decode
+        // function and relies on `validate` having run.
+        matches!(fn_name, "read_from" | "load" | "from_json" | "uint")
     } else {
         false
     }
@@ -432,6 +441,31 @@ mod tests {
         // put_x is encode-side: not in scope for index/cast...
         assert!(!rules.contains(&("decode-cast", 2)));
         assert!(!rules.contains(&("decode-index", 2)));
+    }
+
+    #[test]
+    fn json_parser_and_model_loader_are_decode_scope() {
+        let src =
+            "impl Parser<'_> { fn string(&mut self, v: &[u8]) { self.next().unwrap(); v[0]; } }\n\
+                   fn escape_json(v: &[u8]) -> u8 { v[0] }\n";
+        let rules: Vec<_> = run("crates/obs/src/json.rs", src)
+            .iter()
+            .map(|x| (x.rule, x.line))
+            .collect();
+        assert!(rules.contains(&("decode-unwrap", 1)));
+        assert!(rules.contains(&("decode-index", 1)));
+        assert!(
+            !rules.contains(&("decode-index", 2)),
+            "writer side is out of scope"
+        );
+
+        let src = "fn read_from(v: &[u8]) -> u8 { v[0] }\n\
+                   fn to_dense(w: &mut [f64]) { w[0] = 1.0; }\n";
+        let rules: Vec<_> = run("crates/model/src/saved.rs", src)
+            .iter()
+            .map(|x| (x.rule, x.line))
+            .collect();
+        assert_eq!(rules, vec![("decode-index", 1)]);
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! * [`interpolate::time_to_error`] — linearly interpolated wall-clock (or
 //!   epoch) cost of reaching a target error, the primitive behind the
 //!   Fig. 5 speedup slices and the Fig. 4 optimum markers.
+//! * [`traces_to_json`] / [`traces_from_json`] — the JSON trace caches
+//!   the experiment binaries write and reuse.
 //! * [`speedup`] — speedup curves/summaries of one trace over another.
 //! * [`table`] — fixed-width text tables for the experiment binaries.
 
@@ -22,4 +24,4 @@ pub mod trace;
 pub use interpolate::{time_to_error, time_to_objective};
 pub use speedup::{speedup_curve, SpeedupSummary};
 pub use table::TextTable;
-pub use trace::{Trace, TracePoint};
+pub use trace::{traces_from_json, traces_to_json, Trace, TracePoint};

@@ -2,7 +2,6 @@
 
 use crate::interpolate::time_to_error;
 use crate::trace::Trace;
-use serde::{Deserialize, Serialize};
 
 /// Speedup of `fast` over `base` at a grid of error-rate targets:
 /// `speedup(e) = time_base(e) / time_fast(e)`. `None` where either trace
@@ -23,7 +22,7 @@ pub fn speedup_curve(base: &Trace, fast: &Trace, targets: &[f64]) -> Vec<(f64, O
 /// Aggregate speedup statistics, the numbers quoted in the paper's §4.2
 /// ("the average speedups ... range from 1.26 to 1.97 while the optimum
 /// speedups range from 1.13 to 1.54").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedupSummary {
     /// Mean speedup over all reachable targets.
     pub average: f64,

@@ -1,9 +1,10 @@
-//! Run traces.
+//! Run traces and their JSON form (the `fig3_traces.json` /
+//! `fig4_traces.json` caches of the experiments crate).
 
-use serde::{Deserialize, Serialize};
+use isasgd_obs::json::{self, JsonValue};
 
 /// One evaluation point of a training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TracePoint {
     /// Epochs completed (fractional points allowed for mid-epoch evals).
     pub epoch: f64,
@@ -18,7 +19,7 @@ pub struct TracePoint {
 }
 
 /// A full training trace with identifying metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Algorithm name (e.g. "IS-ASGD").
     pub algorithm: String,
@@ -74,6 +75,93 @@ impl Trace {
     pub fn total_wall_secs(&self) -> f64 {
         self.last().map_or(0.0, |p| p.wall_secs)
     }
+
+    fn to_json(&self) -> JsonValue {
+        let point = |p: &TracePoint| {
+            JsonValue::Obj(vec![
+                ("epoch".into(), JsonValue::Num(p.epoch)),
+                ("wall_secs".into(), JsonValue::Num(p.wall_secs)),
+                ("objective".into(), JsonValue::Num(p.objective)),
+                ("rmse".into(), JsonValue::Num(p.rmse)),
+                ("error_rate".into(), JsonValue::Num(p.error_rate)),
+            ])
+        };
+        JsonValue::Obj(vec![
+            ("algorithm".into(), JsonValue::Str(self.algorithm.clone())),
+            ("dataset".into(), JsonValue::Str(self.dataset.clone())),
+            (
+                "concurrency".into(),
+                JsonValue::Int(self.concurrency as i128),
+            ),
+            ("step_size".into(), JsonValue::Num(self.step_size)),
+            (
+                "points".into(),
+                JsonValue::Arr(self.points.iter().map(point).collect()),
+            ),
+        ])
+    }
+
+    fn from_json(v: &JsonValue) -> Result<Trace, String> {
+        let point = |p: &JsonValue| {
+            Ok(TracePoint {
+                epoch: float(p, "epoch")?,
+                wall_secs: float(p, "wall_secs")?,
+                objective: float(p, "objective")?,
+                rmse: float(p, "rmse")?,
+                error_rate: float(p, "error_rate")?,
+            })
+        };
+        let string = |name| {
+            field(v, name)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("field `{name}`: expected a string"))
+        };
+        Ok(Trace {
+            algorithm: string("algorithm")?,
+            dataset: string("dataset")?,
+            concurrency: field(v, "concurrency")?
+                .as_u64()
+                .and_then(|c| usize::try_from(c).ok())
+                .ok_or("field `concurrency`: expected an unsigned integer")?,
+            step_size: float(v, "step_size")?,
+            points: field(v, "points")?
+                .as_array()
+                .ok_or("field `points`: expected an array")?
+                .iter()
+                .map(point)
+                .collect::<Result<_, String>>()?,
+        })
+    }
+}
+
+fn field<'a>(obj: &'a JsonValue, name: &str) -> Result<&'a JsonValue, String> {
+    obj.get(name)
+        .ok_or_else(|| format!("missing field `{name}`"))
+}
+
+fn float(obj: &JsonValue, name: &str) -> Result<f64, String> {
+    field(obj, name)?
+        .as_f64()
+        .ok_or_else(|| format!("field `{name}`: expected a number"))
+}
+
+/// Traces as a pretty JSON array of objects, one per trace, with its
+/// points as an array of objects. Non-finite floats are written as `null`
+/// and make [`traces_from_json`] fail.
+pub fn traces_to_json(traces: &[Trace]) -> String {
+    JsonValue::Arr(traces.iter().map(Trace::to_json).collect()).to_pretty_string()
+}
+
+/// Parses the output of [`traces_to_json`]; any malformed text, missing or
+/// mistyped field is an error.
+pub fn traces_from_json(text: &str) -> Result<Vec<Trace>, String> {
+    json::parse(text)?
+        .as_array()
+        .ok_or("expected an array of traces")?
+        .iter()
+        .map(Trace::from_json)
+        .collect()
 }
 
 /// The monotone best-so-far error curve `(wall_secs, best_error)` — the
@@ -209,11 +297,17 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip() {
-        let t = trace();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Trace = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
+    fn json_roundtrip() {
+        let traces = vec![trace(), Trace::new("SGD", "x\"y", 1, 0.1)];
+        let back = traces_from_json(&traces_to_json(&traces)).unwrap();
+        assert_eq!(back, traces);
+    }
+
+    #[test]
+    fn json_rejects_garbage_and_deep_nesting() {
+        assert!(traces_from_json("{}").is_err());
+        assert!(traces_from_json("[{\"algorithm\": \"A\"}]").is_err());
+        assert!(traces_from_json(&"[".repeat(1_000_000)).is_err());
     }
 
     #[test]

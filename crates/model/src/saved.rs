@@ -3,10 +3,12 @@
 //! A [`SavedModel`] is the offline artifact of a training run: the weight
 //! vector (stored sparsely — trained models on index-compressed data are
 //! themselves mostly zero off the observed support) plus enough metadata
-//! to reproduce and sanity-check the run. The format is versioned JSON so
-//! files stay diff-able and greppable.
+//! to reproduce and sanity-check the run. The format is versioned,
+//! two-space-indented JSON (one array element per line) so files stay
+//! diff-able and greppable; it is written by hand and read back through
+//! the workspace's one JSON codec, [`isasgd_obs::json`].
 
-use serde::{Deserialize, Serialize};
+use isasgd_obs::json::{self, escape_json, JsonValue};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -14,7 +16,7 @@ use std::path::Path;
 pub const FORMAT_VERSION: u32 = 1;
 
 /// A trained linear model with provenance metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SavedModel {
     /// Format version (see [`FORMAT_VERSION`]).
     pub version: u32,
@@ -174,11 +176,28 @@ impl SavedModel {
         Ok(())
     }
 
-    /// Serializes to pretty JSON.
+    /// Serializes to pretty JSON, streamed straight into `w`.
     pub fn write_to<W: Write>(&self, mut w: W) -> Result<(), ModelIoError> {
-        let json =
-            serde_json::to_string_pretty(self).map_err(|e| ModelIoError::Parse(e.to_string()))?;
-        w.write_all(json.as_bytes())?;
+        write!(
+            w,
+            "{{\n  \"version\": {},\n  \"dim\": {},\n  \"algorithm\": \"{}\",\n  \
+             \"dataset\": \"{}\",\n  \"step_size\": ",
+            self.version,
+            self.dim,
+            escape_json(&self.algorithm),
+            escape_json(&self.dataset),
+        )?;
+        write_f64(&mut w, self.step_size)?;
+        write!(
+            w,
+            ",\n  \"epochs\": {},\n  \"seed\": {},\n  \"indices\": ",
+            self.epochs, self.seed
+        )?;
+        write_array(&mut w, &self.indices, |w, i| write!(w, "{i}"))?;
+        w.write_all(b",\n  \"values\": ")?;
+        write_array(&mut w, &self.values, |w, &x| write_f64(w, x))?;
+        w.write_all(b"\n}")?;
+        w.flush()?;
         Ok(())
     }
 
@@ -186,10 +205,51 @@ impl SavedModel {
     pub fn read_from<R: Read>(mut r: R) -> Result<SavedModel, ModelIoError> {
         let mut buf = String::new();
         r.read_to_string(&mut buf)?;
-        let m: SavedModel =
-            serde_json::from_str(&buf).map_err(|e| ModelIoError::Parse(e.to_string()))?;
+        let doc = json::parse(&buf).map_err(ModelIoError::Parse)?;
+        let m = SavedModel::from_json(&doc).map_err(ModelIoError::Parse)?;
         m.validate()?;
         Ok(m)
+    }
+
+    /// Rebuilds a model from a parsed document; a missing or mistyped
+    /// field is an error. Unknown fields are ignored.
+    fn from_json(doc: &JsonValue) -> Result<SavedModel, String> {
+        let field = |name: &str| {
+            doc.get(name)
+                .ok_or_else(|| format!("missing field `{name}`"))
+        };
+        let string = |name: &str| {
+            field(name)?
+                .as_str()
+                .map(str::to_string)
+                .ok_or_else(|| format!("field `{name}`: expected a string"))
+        };
+        let float = |v: &JsonValue, name: &str| {
+            v.as_f64()
+                .ok_or_else(|| format!("field `{name}`: expected a number"))
+        };
+        let array = |name: &str| {
+            field(name)?
+                .as_array()
+                .ok_or_else(|| format!("field `{name}`: expected an array"))
+        };
+        Ok(SavedModel {
+            version: uint(field("version")?, "version")?,
+            dim: uint(field("dim")?, "dim")?,
+            algorithm: string("algorithm")?,
+            dataset: string("dataset")?,
+            step_size: float(field("step_size")?, "step_size")?,
+            epochs: uint(field("epochs")?, "epochs")?,
+            seed: uint(field("seed")?, "seed")?,
+            indices: array("indices")?
+                .iter()
+                .map(|v| uint(v, "indices"))
+                .collect::<Result<_, _>>()?,
+            values: array("values")?
+                .iter()
+                .map(|v| float(v, "values"))
+                .collect::<Result<_, _>>()?,
+        })
     }
 
     /// Saves to a file.
@@ -203,6 +263,41 @@ impl SavedModel {
         let f = std::fs::File::open(path)?;
         SavedModel::read_from(std::io::BufReader::new(f))
     }
+}
+
+/// An unsigned integer field that must fit `T` exactly.
+fn uint<T: TryFrom<u64>>(v: &JsonValue, name: &str) -> Result<T, String> {
+    v.as_u64()
+        .and_then(|u| T::try_from(u).ok())
+        .ok_or_else(|| format!("field `{name}`: expected an unsigned integer in range"))
+}
+
+/// A JSON number in Rust's shortest round-trip decimal form, or `null`
+/// when not finite.
+fn write_f64<W: Write>(w: &mut W, x: f64) -> std::io::Result<()> {
+    if x.is_finite() {
+        write!(w, "{x}")
+    } else {
+        w.write_all(b"null")
+    }
+}
+
+/// A top-level field's array: one element per line at four spaces, `[]`
+/// when empty.
+fn write_array<W: Write, T>(
+    w: &mut W,
+    items: &[T],
+    mut item: impl FnMut(&mut W, &T) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    if items.is_empty() {
+        return w.write_all(b"[]");
+    }
+    w.write_all(b"[")?;
+    for (k, x) in items.iter().enumerate() {
+        w.write_all(if k == 0 { b"\n    " } else { b",\n    " })?;
+        item(w, x)?;
+    }
+    w.write_all(b"\n  ]")
 }
 
 #[cfg(test)]
@@ -290,6 +385,39 @@ mod tests {
         assert!(matches!(
             SavedModel::read_from("{\"a\": 1}".as_bytes()),
             Err(ModelIoError::Parse(_))
+        ));
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_an_abort() {
+        let deep = "[".repeat(1_000_000);
+        assert!(matches!(
+            SavedModel::read_from(deep.as_bytes()),
+            Err(ModelIoError::Parse(_))
+        ));
+    }
+
+    #[test]
+    fn read_from_separates_schema_from_structure_errors() {
+        let mut buf = Vec::new();
+        sample().write_to(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        // Mistyped and out-of-range fields are schema errors...
+        for bad in [
+            text.replace("\"seed\": 42", "\"seed\": -42"),
+            text.replace("\"version\": 1", "\"version\": 4294967296"),
+            text.replace("\"dim\": 5", "\"dim\": \"5\""),
+        ] {
+            assert!(matches!(
+                SavedModel::read_from(bad.as_bytes()),
+                Err(ModelIoError::Parse(_))
+            ));
+        }
+        // ...while well-typed but inconsistent content is structural.
+        let short = text.replace("\"dim\": 5", "\"dim\": 4");
+        assert!(matches!(
+            SavedModel::read_from(short.as_bytes()),
+            Err(ModelIoError::Invalid(_))
         ));
     }
 }

@@ -27,8 +27,8 @@ proptest! {
         prop_assert!(m.validate().is_ok());
     }
 
-    /// JSON serialization round-trips bit-exactly (serde_json preserves
-    /// f64 through the shortest-roundtrip representation).
+    /// JSON serialization round-trips bit-exactly (floats are written in
+    /// their shortest round-trip decimal form).
     #[test]
     fn json_roundtrip(w in arb_weights()) {
         let m = SavedModel::from_dense(&w, "IS-ASGD", "data.svm", 0.05, 10, 42).unwrap();

@@ -1,10 +1,25 @@
-//! Hand-rolled JSON: escaping for the writers, a flat-object parser for
-//! `isasgd report`.
+//! Hand-rolled JSON: the workspace's one codec.
 //!
-//! The build is offline, so there is no serde. Trace lines are *flat* JSON
-//! objects (string/number/bool/null values, no nesting), which keeps the
-//! parser here total and small. The writer side lives in
-//! [`crate::Event::to_jsonl`] and [`crate::Metrics::render_json`].
+//! The build is offline, so there is no serde. [`parse`] reads any JSON
+//! document into a [`JsonValue`] tree; [`JsonValue::to_pretty_string`] and
+//! [`escape_json`] serve the writers. Three formats sit on top:
+//!
+//! - trace lines are *flat* JSON objects read by [`parse_jsonl_line`] (the
+//!   writer side lives in [`crate::Event::to_jsonl`] and
+//!   [`crate::Metrics::render_json`]);
+//! - the saved model of `isasgd train --save` (`isasgd-model`);
+//! - the Fig. 4 trace cache (`isasgd-metrics`).
+//!
+//! The parser is total: malformed input, including nesting deeper than
+//! [`MAX_DEPTH`], yields `Err` with a position-carrying message, never a
+//! panic or a stack overflow.
+
+use std::fmt::Write as _;
+
+/// Deepest array/object nesting [`parse`] accepts. The workspace's formats
+/// nest at most three levels; the cap keeps the recursive parser's stack
+/// bounded on hostile input.
+pub const MAX_DEPTH: usize = 128;
 
 /// Escape a string for embedding inside JSON double quotes.
 pub fn escape_json(s: &str) -> String {
@@ -23,33 +38,40 @@ pub fn escape_json(s: &str) -> String {
     out
 }
 
-/// One parsed JSON scalar.
+/// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null` (also produced for non-finite floats on the writer side).
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number. Trace values fit f64 exactly (timestamps, counts).
+    /// A number literal with no fraction or exponent, held exactly: every
+    /// `u64` and `i64` fits.
+    Int(i128),
+    /// Any other JSON number.
     Num(f64),
     /// A JSON string with escapes resolved.
     Str(String),
+    /// An array.
+    Arr(Vec<JsonValue>),
+    /// An object as its `(key, value)` pairs in source order.
+    Obj(Vec<(String, JsonValue)>),
 }
 
 impl JsonValue {
-    /// The value as a non-negative integer, if it is one.
+    /// The value as a non-negative integer, if it is an integer literal
+    /// in `u64` range.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
+            JsonValue::Int(i) => u64::try_from(*i).ok(),
             _ => None,
         }
     }
 
-    /// The value as a float, if numeric.
+    /// The value as a float, if numeric (integers round to nearest).
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::Int(i) => Some(*i as f64),
             JsonValue::Num(n) => Some(*n),
             _ => None,
         }
@@ -62,6 +84,99 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// The elements, if the value is an array.
+    pub fn as_array(&self) -> Option<&[JsonValue]> {
+        match self {
+            JsonValue::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// The first field named `key`, if the value is an object.
+    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+        match self {
+            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Two-space-indented JSON: one element or field per line, empty
+    /// arrays and objects as `[]` / `{}`, no trailing newline.
+    pub fn to_pretty_string(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0);
+        out
+    }
+
+    fn write_pretty(&self, out: &mut String, level: usize) {
+        match self {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Int(i) => {
+                let _ = write!(out, "{i}");
+            }
+            JsonValue::Num(x) if x.is_finite() => {
+                let _ = write!(out, "{x}");
+            }
+            JsonValue::Num(_) => out.push_str("null"),
+            JsonValue::Str(s) => {
+                out.push('"');
+                out.push_str(&escape_json(s));
+                out.push('"');
+            }
+            JsonValue::Arr(items) => write_seq(out, level, ('[', ']'), items, |out, v| {
+                v.write_pretty(out, level + 1);
+            }),
+            JsonValue::Obj(fields) => write_seq(out, level, ('{', '}'), fields, |out, (k, v)| {
+                out.push('"');
+                out.push_str(&escape_json(k));
+                out.push_str("\": ");
+                v.write_pretty(out, level + 1);
+            }),
+        }
+    }
+}
+
+fn write_seq<T>(
+    out: &mut String,
+    level: usize,
+    (open, close): (char, char),
+    items: &[T],
+    mut item: impl FnMut(&mut String, &T),
+) {
+    out.push(open);
+    for (k, x) in items.iter().enumerate() {
+        if k > 0 {
+            out.push(',');
+        }
+        out.push('\n');
+        out.push_str(&"  ".repeat(level + 1));
+        item(out, x);
+    }
+    if !items.is_empty() {
+        out.push('\n');
+        out.push_str(&"  ".repeat(level));
+    }
+    out.push(close);
+}
+
+/// Parse one complete JSON document.
+///
+/// Total: malformed input, trailing bytes, or nesting deeper than
+/// [`MAX_DEPTH`] yield `Err` with a position-carrying message.
+pub fn parse(text: &str) -> Result<JsonValue, String> {
+    let mut p = Parser {
+        text,
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
+    let value = p.value(0)?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(p.fail("trailing bytes after value"));
+    }
+    Ok(value)
 }
 
 /// Parse one flat JSONL object into `(key, value)` pairs in source order.
@@ -70,41 +185,23 @@ impl JsonValue {
 /// never a panic. Nested objects/arrays are rejected (trace lines are flat
 /// by construction).
 pub fn parse_jsonl_line(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let mut p = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
+    let JsonValue::Obj(fields) = parse(line)? else {
+        return Err("json parse error: a trace line must be an object".into());
     };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut fields = Vec::new();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        p.pos += 1;
-    } else {
-        loop {
-            p.skip_ws();
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            let value = p.value()?;
-            fields.push((key, value));
-            p.skip_ws();
-            match p.next() {
-                Some(b',') => {}
-                Some(b'}') => break,
-                other => return Err(p.fail(&format!("expected ',' or '}}', got {other:?}"))),
-            }
-        }
-    }
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.fail("trailing bytes after object"));
+    if let Some((k, _)) = fields
+        .iter()
+        .find(|(_, v)| matches!(v, JsonValue::Arr(_) | JsonValue::Obj(_)))
+    {
+        return Err(format!(
+            "json parse error: field '{k}' nests a value; nested values are not part of \
+             the trace schema"
+        ));
     }
     Ok(fields)
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -126,7 +223,7 @@ impl Parser<'_> {
         b
     }
 
-    fn expect(&mut self, want: u8) -> Result<(), String> {
+    fn eat(&mut self, want: u8) -> Result<(), String> {
         match self.next() {
             Some(b) if b == want => Ok(()),
             other => Err(self.fail(&format!("expected {:?}, got {other:?}", want as char))),
@@ -139,10 +236,78 @@ impl Parser<'_> {
         }
     }
 
+    /// One value at nesting `depth` (0 for the document itself), with
+    /// leading whitespace.
+    fn value(&mut self, depth: usize) -> Result<JsonValue, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
+            Some(b't') => self.literal("true", JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null", JsonValue::Null),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'[' | b'{') if depth >= MAX_DEPTH => {
+                Err(self.fail(&format!("nesting deeper than {MAX_DEPTH}")))
+            }
+            Some(b'[') => self.seq(b']', |p| p.value(depth + 1)).map(JsonValue::Arr),
+            Some(b'{') => self
+                .seq(b'}', |p| {
+                    p.skip_ws();
+                    let key = p.string()?;
+                    p.skip_ws();
+                    p.eat(b':')?;
+                    Ok((key, p.value(depth + 1)?))
+                })
+                .map(JsonValue::Obj),
+            other => Err(self.fail(&format!("expected a value, got {other:?}"))),
+        }
+    }
+
+    /// The comma-separated items of an array or object: the opening
+    /// bracket is next, `close` ends it.
+    fn seq<T>(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(items);
+        }
+        loop {
+            items.push(item(self)?);
+            self.skip_ws();
+            match self.next() {
+                Some(b',') => {}
+                Some(b) if b == close => return Ok(items),
+                other => {
+                    return Err(self.fail(&format!(
+                        "expected ',' or {:?}, got {other:?}",
+                        close as char
+                    )))
+                }
+            }
+        }
+    }
+
     fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
+        self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes in one go. It starts and stops at
+            // ASCII bytes (or the end), so it is a valid `&str` slice.
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            let run = self
+                .text
+                .get(start..self.pos)
+                .ok_or_else(|| self.fail("bad utf-8"))?;
+            out.push_str(run);
             match self.next() {
                 None => return Err(self.fail("unterminated string")),
                 Some(b'"') => return Ok(out),
@@ -150,14 +315,15 @@ impl Parser<'_> {
                     Some(b'"') => out.push('"'),
                     Some(b'\\') => out.push('\\'),
                     Some(b'/') => out.push('/'),
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
                     Some(b'n') => out.push('\n'),
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
                         let hex = self
-                            .bytes
+                            .text
                             .get(self.pos..self.pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
                             .and_then(|h| u32::from_str_radix(h, 16).ok())
                             .ok_or_else(|| self.fail("bad \\u escape"))?;
                         self.pos += 4;
@@ -165,34 +331,8 @@ impl Parser<'_> {
                     }
                     other => return Err(self.fail(&format!("bad escape {other:?}"))),
                 },
-                Some(b) if b < 0x20 => return Err(self.fail("raw control byte in string")),
-                Some(b) => {
-                    // Re-assemble UTF-8 runs byte-for-byte; the input is a
-                    // &str so multi-byte sequences are already valid.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .and_then(|c| std::str::from_utf8(c).ok())
-                        .ok_or_else(|| self.fail("bad utf-8"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
+                Some(_) => return Err(self.fail("raw control byte in string")),
             }
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b'{' | b'[') => Err(self.fail("nested values are not part of the trace schema")),
-            other => Err(self.fail(&format!("expected a value, got {other:?}"))),
         }
     }
 
@@ -205,6 +345,9 @@ impl Parser<'_> {
         }
     }
 
+    /// An integer literal parses exactly into [`JsonValue::Int`]; one with
+    /// a fraction or exponent, or beyond `i128`, parses as the nearest
+    /// `f64`.
     fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
         while matches!(
@@ -213,20 +356,18 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.fail("bad number bytes"))?;
+        let text = self
+            .text
+            .get(start..self.pos)
+            .ok_or_else(|| self.fail("bad number bytes"))?;
+        if !text.contains(['.', 'e', 'E']) {
+            if let Ok(i) = text.parse::<i128>() {
+                return Ok(JsonValue::Int(i));
+            }
+        }
         text.parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| self.fail("bad number"))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
     }
 }
 
@@ -239,7 +380,7 @@ mod tests {
         let line = "{\"ts_us\":42,\"event\":\"handshake\",\"node\":0,\"respawn\":false,\
                     \"dur_us\":1234}";
         let fields = parse_jsonl_line(line).unwrap();
-        assert_eq!(fields[0], ("ts_us".into(), JsonValue::Num(42.0)));
+        assert_eq!(fields[0], ("ts_us".into(), JsonValue::Int(42)));
         assert_eq!(fields[1].1.as_str(), Some("handshake"));
         assert_eq!(fields[3].1, JsonValue::Bool(false));
         assert_eq!(fields[4].1.as_u64(), Some(1234));
@@ -281,5 +422,46 @@ mod tests {
     #[test]
     fn escape_json_covers_controls() {
         assert_eq!(escape_json("a\"b\\c\nd\u{1}"), "a\\\"b\\\\c\\nd\\u0001");
+    }
+
+    #[test]
+    fn integers_parse_exactly_beyond_f64() {
+        let v = parse("[18446744073709551615, -9223372036854775808, 9007199254740993]").unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_u64(), Some(u64::MAX));
+        assert_eq!(items[1], JsonValue::Int(i128::from(i64::MIN)));
+        assert_eq!(items[2].as_u64(), Some((1 << 53) + 1));
+        assert_eq!(items[1].as_u64(), None);
+    }
+
+    #[test]
+    fn pretty_output_reparses_to_the_same_tree() {
+        let v = JsonValue::Obj(vec![
+            ("name".into(), JsonValue::Str("a\"\u{1}é".into())),
+            ("empty".into(), JsonValue::Arr(vec![])),
+            (
+                "xs".into(),
+                JsonValue::Arr(vec![JsonValue::Num(-0.1), JsonValue::Int(7)]),
+            ),
+            ("nested".into(), JsonValue::Obj(vec![])),
+        ]);
+        let text = v.to_pretty_string();
+        assert_eq!(
+            text,
+            "{\n  \"name\": \"a\\\"\\u0001é\",\n  \"empty\": [],\n  \"xs\": [\n    -0.1,\n    \
+             7\n  ],\n  \"nested\": {}\n}"
+        );
+        assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(1_000_000);
+        assert!(parse(&deep).unwrap_err().contains("nesting deeper"));
+        assert!(parse_jsonl_line(&deep).is_err());
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).is_err());
     }
 }

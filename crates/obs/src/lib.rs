@@ -17,6 +17,10 @@
 //!    wait, shard encode, recovery replay), snapshotted per round and dumped
 //!    as JSON via `--metrics-out <path>`.
 //!
+//! The [`json`] module is the workspace's one JSON codec: besides the trace
+//! and metrics formats above it reads and writes the saved model
+//! (`isasgd-model`) and the experiment trace caches (`isasgd-metrics`).
+//!
 //! # The clock seam
 //!
 //! Every timestamp comes from one seam, [`ObsClock`]: wall-clock

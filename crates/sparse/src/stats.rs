@@ -5,10 +5,9 @@
 //! conflict degree Δ̄).
 
 use crate::dataset::Dataset;
-use serde::{Deserialize, Serialize};
 
-/// Summary statistics of a [`Dataset`], serializable for experiment logs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Summary statistics of a [`Dataset`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetStats {
     /// Dimensionality `d`.
     pub dim: usize,
@@ -142,13 +141,5 @@ mod tests {
         let d = ds();
         assert_eq!(feature_frequencies(&d), vec![1, 2, 0, 0]);
         assert_eq!(row_norms_sq(&d), vec![25.0, 1.0]);
-    }
-
-    #[test]
-    fn stats_serialize_roundtrip() {
-        let s = DatasetStats::compute(&ds());
-        let json = serde_json::to_string(&s).unwrap();
-        let back: DatasetStats = serde_json::from_str(&json).unwrap();
-        assert_eq!(s, back);
     }
 }
