@@ -6,8 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use isasgd_sampling::{
-    AdaptiveIsSampler, AliasTable, CommitPolicy, Draw, FenwickSampler, SampleSequence, Sampler,
-    ScheduleStream, SequenceMode, Xoshiro256pp,
+    AdaptiveIsSampler, AliasTable, CommitPolicy, Draw, SampleSequence, Sampler, ScheduleStream,
+    SequenceMode, SumTreeSampler, Xoshiro256pp,
 };
 use std::hint::black_box;
 
@@ -17,7 +17,7 @@ fn samplers(c: &mut Criterion) {
         let mut rng = Xoshiro256pp::new(1);
         let weights: Vec<f64> = (0..n).map(|_| rng.next_f64() + 0.01).collect();
         let alias = AliasTable::new(&weights).unwrap();
-        let fenwick = FenwickSampler::new(&weights).unwrap();
+        let sum_tree = SumTreeSampler::new(&weights).unwrap();
         group.throughput(Throughput::Elements(1));
 
         group.bench_with_input(BenchmarkId::new("uniform_draw", n), &n, |b, &n| {
@@ -30,16 +30,16 @@ fn samplers(c: &mut Criterion) {
             b.iter(|| black_box(alias.sample(&mut r)));
         });
 
-        group.bench_with_input(BenchmarkId::new("fenwick_draw", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("sum_tree_draw", n), &n, |b, _| {
             let mut r = Xoshiro256pp::new(4);
-            b.iter(|| black_box(fenwick.sample(&mut r)));
+            b.iter(|| black_box(sum_tree.sample(&mut r)));
         });
 
-        // The adaptivity tax, itemized: a Fenwick weight refresh, an
+        // The adaptivity tax, itemized: a sum-tree weight refresh, an
         // adaptive mixture draw, and a draw+correction pair (what the
         // engine actually does per scheduled sample).
-        group.bench_with_input(BenchmarkId::new("fenwick_update", n), &n, |b, &n| {
-            let mut f = fenwick.clone();
+        group.bench_with_input(BenchmarkId::new("sum_tree_update", n), &n, |b, &n| {
+            let mut f = sum_tree.clone();
             let mut r = Xoshiro256pp::new(5);
             b.iter(|| {
                 let i = r.next_index(n);

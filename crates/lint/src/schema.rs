@@ -17,7 +17,7 @@
 //!    byte-compares against the committed file, so no protocol change
 //!    lands without an explicit, reviewable `WIRE_SCHEMA.json` diff.
 //!
-//! Token-level honesty: field *types* are canonicalized token text
+//! Token-level honesty: field *types* are normalized token text
 //! (`Vec<(u32, f64)>`), not resolved types — renaming `Dataset` via a
 //! `use` alias would change the schema text. That is fine: the gate
 //! exists to make any protocol-shaped diff loud, and a rename is one.
@@ -30,7 +30,7 @@ use crate::report::{json_str, Finding};
 pub struct Field {
     /// Field name.
     pub name: String,
-    /// Canonicalized type text.
+    /// Normalized type text.
     pub ty: String,
 }
 

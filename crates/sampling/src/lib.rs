@@ -7,9 +7,9 @@
 //! identical to plain ASGD. This crate provides:
 //!
 //! * [`AliasTable`] — Walker/Vose alias method: `O(n)` build, `O(1)` draws.
-//! * [`FenwickSampler`] — a binary-indexed-tree sampler with `O(log n)`
-//!   draws *and* `O(log n)` weight updates, used as an oracle in tests and
-//!   as the substrate of the adaptive sampler.
+//! * [`SumTreeSampler`] — a sum-tree sampler with `O(log n)` draws *and*
+//!   `O(log n)` weight updates, used as an oracle in tests and as the
+//!   substrate of the adaptive sampler.
 //! * [`SampleSequence`] — pre-generated per-thread index sequences with the
 //!   paper's §4.2 "generate once, shuffle every epoch" approximation.
 //! * [`rng`] — small, fast, reproducible PRNGs (SplitMix64, Xoshiro256++)
@@ -19,7 +19,7 @@
 //!
 //! The [`Sampler`] trait unifies the three distributions a solver can draw
 //! from — [`UniformSampler`], [`StaticIsSampler`] (the paper's offline
-//! sequences) and [`AdaptiveIsSampler`] (Fenwick-backed, re-weighted from
+//! sequences) and [`AdaptiveIsSampler`] (sum-tree-backed, re-weighted from
 //! observed gradient magnitudes) — behind
 //! `next`/`correction`/`update_weight`/`epoch_reset`. The solver runtime
 //! in `isasgd-core` consumes `Box<dyn Sampler>` per worker shard, so every
@@ -62,16 +62,15 @@
 pub mod alias;
 pub mod error;
 pub mod feedback;
-pub mod fenwick;
 pub mod rng;
 pub mod sampler;
 pub mod sequence;
 pub mod stream;
+pub mod sum_tree;
 
 pub use alias::AliasTable;
 pub use error::SamplingError;
 pub use feedback::{draw_rngs, FeedbackProtocol, ObservationModel};
-pub use fenwick::FenwickSampler;
 pub use rng::{splitmix64, Xoshiro256pp};
 pub use sampler::{
     build_sampler, AdaptiveIsSampler, CommitPolicy, Sampler, SamplerSnapshot, SamplingStrategy,
@@ -79,6 +78,7 @@ pub use sampler::{
 };
 pub use sequence::{SampleSequence, SequenceMode};
 pub use stream::{Draw, ScheduleStream};
+pub use sum_tree::SumTreeSampler;
 
 /// Inverse-probability step correction `1/(n·p_i)` for each sample
 /// (paper Eq. 8): with `p_i = L_i/ΣL`, this equals `L̄/L_i`.

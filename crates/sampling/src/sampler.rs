@@ -7,7 +7,7 @@
 //! observation into an abstraction: solvers consume `Sampler::next` and
 //! `Sampler::correction` without knowing whether indices come from a
 //! uniform stream, a pre-generated weighted sequence, or a live
-//! Fenwick-tree distribution that re-weights itself from observed
+//! sum-tree distribution that re-weights itself from observed
 //! per-sample gradient magnitudes (the adaptive scheme of Katharopoulos &
 //! Fleuret 2018 and the distributed estimator of Alain et al. 2015 — the
 //! "completely impractical" exact scheme of the paper's Eq. 11 made
@@ -20,14 +20,14 @@
 //! * [`StaticIsSampler`] — the paper's pre-generated weighted
 //!   [`SampleSequence`] with `1/(n·p_i)` step corrections, frozen for the
 //!   whole run.
-//! * [`AdaptiveIsSampler`] — a [`FenwickSampler`]-backed distribution
+//! * [`AdaptiveIsSampler`] — a [`SumTreeSampler`]-backed distribution
 //!   whose weights are refreshed between epochs from observed per-sample
 //!   importance via [`Sampler::update_weight`].
 
 use crate::error::SamplingError;
-use crate::fenwick::FenwickSampler;
 use crate::rng::Xoshiro256pp;
 use crate::sequence::{SampleSequence, SequenceMode};
+use crate::sum_tree::SumTreeSampler;
 
 /// Which sampling distribution a training run draws from.
 ///
@@ -145,7 +145,7 @@ pub enum SamplerSnapshot {
         /// The current epoch's index buffer.
         indices: Vec<u32>,
     },
-    /// [`AdaptiveIsSampler`]: the live Fenwick weights plus the commit
+    /// [`AdaptiveIsSampler`]: the live sum-tree weights plus the commit
     /// counter.
     Adaptive {
         /// Dense live weights, one per shard row.
@@ -417,7 +417,7 @@ impl Sampler for StaticIsSampler {
     }
 }
 
-/// Adaptive importance sampling over a Fenwick tree.
+/// Adaptive importance sampling over a sum tree.
 ///
 /// Draws from the mixture `p_i = (1−β)·w_i/Σw + β/n` (the partially
 /// biased distribution of the paper's Eq. 15 / Needell et al., which
@@ -442,7 +442,7 @@ impl Sampler for StaticIsSampler {
 /// [`CommitPolicy::EveryK`].
 #[derive(Debug, Clone)]
 pub struct AdaptiveIsSampler {
-    fen: FenwickSampler,
+    tree: SumTreeSampler,
     /// Pending EMA targets observed this window (NaN = no observation);
     /// multi-visit rows accumulate their per-row max.
     pending: Vec<f64>,
@@ -493,11 +493,11 @@ impl AdaptiveIsSampler {
                 value: gamma,
             });
         }
-        let fen = FenwickSampler::new(initial_weights)?;
+        let tree = SumTreeSampler::new(initial_weights)?;
         Ok(Self {
             pending: vec![f64::NAN; initial_weights.len()],
             observed_rows: Vec::new(),
-            fen,
+            tree,
             beta,
             gamma,
             commit: CommitPolicy::EpochBoundary,
@@ -520,16 +520,16 @@ impl AdaptiveIsSampler {
 
     /// The current mixture probability of outcome `i`.
     pub fn probability(&self, i: usize) -> f64 {
-        let n = self.fen.len() as f64;
-        (1.0 - self.beta) * self.fen.probability(i) + self.beta / n
+        let n = self.tree.len() as f64;
+        (1.0 - self.beta) * self.tree.probability(i) + self.beta / n
     }
 
     /// The current raw weight of outcome `i`.
     pub fn weight(&self, i: usize) -> f64 {
-        self.fen.weight(i)
+        self.tree.weight(i)
     }
 
-    /// Folds pending observations into the Fenwick distribution.
+    /// Folds pending observations into the sum-tree distribution.
     ///
     /// Observations are normalized to the current mean weight scale so
     /// the EMA mixes comparable magnitudes, floored so every row stays
@@ -545,11 +545,13 @@ impl AdaptiveIsSampler {
             return;
         }
         self.commits += 1;
-        // Walk only the dirty list (rows observed this window) for the
-        // fold; the canonical rebuild below adds O(n), which keeps the
-        // tree history-independent (the checkpoint-restore contract).
+        // Walk only the dirty list (rows observed this window): a commit
+        // costs O(window · log n). The tree is a pure function of its
+        // weights, so a checkpoint-restored sampler (rebuilt from those
+        // weights) draws bit-identically to one that lived the whole
+        // history.
         let mut rows = std::mem::take(&mut self.observed_rows);
-        let mean_w = self.fen.total() / self.fen.len() as f64;
+        let mean_w = self.tree.total() / self.tree.len() as f64;
         let sum: f64 = rows.iter().map(|&i| self.pending[i as usize]).sum();
         let mean_obs = sum / rows.len() as f64;
         if mean_obs > 0.0 {
@@ -559,16 +561,11 @@ impl AdaptiveIsSampler {
             for &i in &rows {
                 let i = i as usize;
                 let target = (self.pending[i] * scale).max(floor);
-                let blended = (1.0 - self.gamma) * self.fen.weight(i) + self.gamma * target;
-                self.fen
+                let blended = (1.0 - self.gamma) * self.tree.weight(i) + self.gamma * target;
+                self.tree
                     .update(i, blended)
                     .expect("blended weight is finite and non-negative");
             }
-            // Canonical rebuild: after every fold the tree is a pure
-            // function of the committed weights, so a checkpoint-
-            // restored sampler (rebuilt from those weights) draws
-            // bit-identically to one that lived the whole history.
-            self.fen.canonicalize();
         }
         // mean_obs == 0 is the degenerate all-zero window: nothing to
         // rank by, so the distribution stays untouched and the window is
@@ -583,19 +580,19 @@ impl AdaptiveIsSampler {
 
 impl Sampler for AdaptiveIsSampler {
     fn len(&self) -> usize {
-        self.fen.len()
+        self.tree.len()
     }
 
     fn next(&mut self, rng: &mut Xoshiro256pp) -> usize {
         if rng.next_f64() < self.beta {
-            rng.next_index(self.fen.len())
+            rng.next_index(self.tree.len())
         } else {
-            self.fen.sample(rng)
+            self.tree.sample(rng)
         }
     }
 
     fn correction(&self, i: usize) -> f64 {
-        1.0 / (self.fen.len() as f64 * self.probability(i))
+        1.0 / (self.tree.len() as f64 * self.probability(i))
     }
 
     fn update_weight(&mut self, i: usize, observed: f64) {
@@ -633,7 +630,7 @@ impl Sampler for AdaptiveIsSampler {
 
     fn snapshot(&self) -> SamplerSnapshot {
         SamplerSnapshot::Adaptive {
-            weights: (0..self.fen.len()).map(|i| self.fen.weight(i)).collect(),
+            weights: self.tree.weights().to_vec(),
             commits: self.commits,
         }
     }
@@ -647,29 +644,16 @@ impl Sampler for AdaptiveIsSampler {
                 })
             }
         };
-        if weights.len() != self.fen.len() {
+        if weights.len() != self.tree.len() {
             return Err(SamplingError::LengthMismatch {
-                weights: self.fen.len(),
+                weights: self.tree.len(),
                 other: weights.len(),
             });
         }
-        // Validate everything up front so a bad snapshot leaves the
-        // sampler untouched rather than half-restored.
-        for (i, &w) in weights.iter().enumerate() {
-            if !(w.is_finite() && w >= 0.0) {
-                return Err(SamplingError::InvalidWeight { index: i, value: w });
-            }
-        }
-        if !weights.iter().any(|&w| w > 0.0) {
-            return Err(SamplingError::ZeroMass);
-        }
-        for (i, &w) in weights.iter().enumerate() {
-            self.fen
-                .update(i, w)
-                .expect("weights were validated finite and non-negative");
-        }
-        // Same canonical tree a live sampler holds after its commits.
-        self.fen.canonicalize();
+        // A fresh build validates the weights before anything is
+        // replaced, so a bad snapshot leaves the sampler untouched, and
+        // yields the same tree a live sampler holds after its commits.
+        self.tree = SumTreeSampler::new(&weights)?;
         self.commits = commits;
         self.since_commit = 0;
         for p in &mut self.pending {
@@ -837,6 +821,31 @@ mod tests {
         let mut u = UniformSampler::new(4, 4, SequenceMode::UniformIid, 0).unwrap();
         u.epoch_reset();
         assert_eq!(u.commit_version(), 0);
+    }
+
+    #[test]
+    fn every_k_commits_cost_log_n_tree_writes() {
+        // Cost test for the checkpoint-determinism guarantee: a commit
+        // rewrites only its rows' leaf-to-root paths. An O(n) rebuild per
+        // commit would write ~2n nodes each time and blow the bound.
+        let n = 1usize << 20;
+        let mut s = AdaptiveIsSampler::new(&vec![1.0; n])
+            .unwrap()
+            .with_commit(CommitPolicy::EveryK(1));
+        let observations = 10_000u64;
+        for j in 0..observations {
+            let row = (j as usize * 7919) % n;
+            s.update_weight(row, 1.0 + (j % 13) as f64);
+        }
+        assert_eq!(s.commit_version(), observations);
+        let cap = n.next_power_of_two() as u64;
+        let path = u64::from(cap.trailing_zeros()) + 1;
+        let build = 2 * cap - 1;
+        assert!(
+            s.tree.writes <= observations * path + build,
+            "{} node writes for {observations} single-row commits",
+            s.tree.writes
+        );
     }
 
     #[test]

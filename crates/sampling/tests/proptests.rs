@@ -1,8 +1,8 @@
-//! Property tests: the alias table and the Fenwick sampler are two
+//! Property tests: the alias table and the sum-tree sampler are two
 //! independent implementations of the same weighted distribution; they are
 //! checked against each other and against the analytic distribution.
 
-use isasgd_sampling::{AliasTable, FenwickSampler, SampleSequence, SequenceMode, Xoshiro256pp};
+use isasgd_sampling::{AliasTable, SampleSequence, SequenceMode, SumTreeSampler, Xoshiro256pp};
 use proptest::prelude::*;
 
 fn weights_strategy() -> impl Strategy<Value = Vec<f64>> {
@@ -42,9 +42,9 @@ proptest! {
     }
 
     #[test]
-    fn fenwick_matches_alias(w in weights_strategy(), seed in 0u64..1_000) {
+    fn sum_tree_matches_alias(w in weights_strategy(), seed in 0u64..1_000) {
         let alias = AliasTable::new(&w).unwrap();
-        let fen = FenwickSampler::new(&w).unwrap();
+        let tree = SumTreeSampler::new(&w).unwrap();
         let draws = 60_000;
         let mut r1 = Xoshiro256pp::new(seed);
         let mut r2 = Xoshiro256pp::new(seed.wrapping_add(1));
@@ -52,7 +52,7 @@ proptest! {
         let mut c2 = vec![0usize; w.len()];
         for _ in 0..draws {
             c1[alias.sample(&mut r1)] += 1;
-            c2[fen.sample(&mut r2)] += 1;
+            c2[tree.sample(&mut r2)] += 1;
         }
         let e1: Vec<f64> = c1.iter().map(|&c| c as f64 / draws as f64).collect();
         let e2: Vec<f64> = c2.iter().map(|&c| c as f64 / draws as f64).collect();
@@ -67,18 +67,20 @@ proptest! {
     }
 
     #[test]
-    fn fenwick_update_consistency(w in weights_strategy(), idx_frac in 0.0f64..1.0, new_w in 0.0f64..5.0) {
-        let mut fen = FenwickSampler::new(&w).unwrap();
+    fn sum_tree_update_consistency(w in weights_strategy(), idx_frac in 0.0f64..1.0, new_w in 0.0f64..5.0) {
+        let mut tree = SumTreeSampler::new(&w).unwrap();
         let idx = ((w.len() - 1) as f64 * idx_frac) as usize;
         // Keep total mass positive.
         let mut w2 = w.clone();
         w2[idx] = new_w;
         prop_assume!(w2.iter().sum::<f64>() > 1e-6);
-        fen.update(idx, new_w).unwrap();
-        let rebuilt = FenwickSampler::new(&w2).unwrap();
-        prop_assert!((fen.total() - rebuilt.total()).abs() < 1e-9);
+        tree.update(idx, new_w).unwrap();
+        // Every node is a pure function of the leaves, so an update and a
+        // rebuild agree bit for bit.
+        let rebuilt = SumTreeSampler::new(&w2).unwrap();
+        prop_assert_eq!(tree.total().to_bits(), rebuilt.total().to_bits());
         for i in 0..w.len() {
-            prop_assert!((fen.probability(i) - rebuilt.probability(i)).abs() < 1e-9);
+            prop_assert_eq!(tree.probability(i).to_bits(), rebuilt.probability(i).to_bits());
         }
     }
 
@@ -129,7 +131,7 @@ fn chi_squared(counts: &[usize], probs: &[f64], draws: usize) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `AliasTable`, `FenwickSampler` and `SampleSequence::weighted` are
+    /// `AliasTable`, `SumTreeSampler` and `SampleSequence::weighted` are
     /// three independent implementations of the same weighted
     /// distribution: each empirical histogram must pass a chi-squared
     /// goodness-of-fit test against the analytic distribution. The bound
@@ -147,7 +149,7 @@ proptest! {
         let draws = 30_000usize;
 
         let alias = AliasTable::new(&w).unwrap();
-        let fen = FenwickSampler::new(&w).unwrap();
+        let tree = SumTreeSampler::new(&w).unwrap();
         let seq = SampleSequence::weighted(&w, draws, SequenceMode::RegeneratePerEpoch, seed)
             .unwrap();
 
@@ -156,7 +158,7 @@ proptest! {
         let mut r2 = Xoshiro256pp::new(seed.wrapping_mul(0x9E37_79B9).wrapping_add(7));
         for _ in 0..draws {
             counts[0][alias.sample(&mut r1)] += 1;
-            counts[1][fen.sample(&mut r2)] += 1;
+            counts[1][tree.sample(&mut r2)] += 1;
         }
         for &i in seq.indices() {
             counts[2][i as usize] += 1;
@@ -171,7 +173,7 @@ proptest! {
         let h = 2.0 / (9.0 * df);
         let bound = df * (1.0 - h + 3.09 * h.sqrt()).powi(3);
 
-        for (label, c) in ["alias", "fenwick", "sequence"].iter().zip(&counts) {
+        for (label, c) in ["alias", "sum-tree", "sequence"].iter().zip(&counts) {
             let stat = chi_squared(c, &probs, draws);
             prop_assert!(
                 stat < bound,

@@ -37,7 +37,7 @@
 //! |---|---|
 //! | [`core`] | solvers: SGD, ASGD (Hogwild), IS-SGD, IS-ASGD, SVRG-(A)SGD |
 //! | [`sparse`] | CSR datasets, LibSVM IO |
-//! | [`sampling`] | alias/Fenwick samplers, adaptive feedback protocol, sample sequences, RNG |
+//! | [`sampling`] | alias/sum-tree samplers, adaptive feedback protocol, sample sequences, RNG |
 //! | [`model`] | lock-free atomic shared model |
 //! | [`losses`] | objectives, gradients, importance weights |
 //! | [`datagen`] | Table-1-calibrated synthetic datasets |
