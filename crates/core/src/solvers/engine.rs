@@ -176,6 +176,9 @@ pub fn run_engine<L: Loss, S: Solver>(
     eval_timer.start();
     let m0 = evaluate(&plan.data, obj, &w);
     eval_timer.stop();
+    // The metrics of the model as it stands: the last epoch's evaluation
+    // is the final one, since nothing touches `w` after it.
+    let mut last = m0;
     trace.push(TracePoint {
         epoch: 0.0,
         wall_secs: 0.0,
@@ -412,6 +415,7 @@ pub fn run_engine<L: Loss, S: Solver>(
         }
         let m = evaluate(&plan.data, obj, &w);
         eval_timer.stop();
+        last = m;
         trace.push(TracePoint {
             epoch: (epoch + 1) as f64,
             wall_secs: timer.seconds(),
@@ -436,11 +440,10 @@ pub fn run_engine<L: Loss, S: Solver>(
     if let Some(model) = shared {
         w = model.snapshot();
     }
-    let final_metrics = evaluate(&plan.data, obj, &w);
     Ok(RunResult {
         trace,
         model: w,
-        final_metrics,
+        final_metrics: last,
         setup_secs: plan.setup_secs + sampling_timer.seconds(),
         train_secs: timer.seconds(),
         eval_secs: eval_timer.seconds(),
@@ -687,6 +690,29 @@ mod tests {
         assert!(last < first, "objective {first} → {last} should decrease");
         for w in r.trace.points.windows(2) {
             assert!(w[1].wall_secs >= w[0].wall_secs);
+        }
+    }
+
+    #[test]
+    fn final_metrics_are_the_last_trace_point() {
+        let ds = skewed(160);
+        let cfg = TrainConfig::default().with_epochs(3).with_seed(5);
+        for (algo, exec) in [
+            (Algorithm::IsSgd, Execution::Sequential),
+            (
+                Algorithm::IsAsgd,
+                Execution::Simulated { tau: 3, workers: 2 },
+            ),
+            (Algorithm::IsAsgd, Execution::Threads(2)),
+        ] {
+            let r = train(&ds, &obj_l2(), algo, exec, &cfg, "skew").unwrap();
+            let last = r.trace.points.last().unwrap();
+            let m = r.final_metrics;
+            assert_eq!(
+                [m.objective, m.rmse, m.error_rate].map(f64::to_bits),
+                [last.objective, last.rmse, last.error_rate].map(f64::to_bits),
+                "{exec:?}"
+            );
         }
     }
 

@@ -37,7 +37,7 @@
 //! * **Scoping is syntactic.** Test code is recognized as items under
 //!   `#[cfg(test)]` / `#[test]`; decode-side functions by name pattern
 //!   (`get_*`, `decode`, `recv`, the `Reader` and JSON `Parser` impls,
-//!   the saved-model loader — see
+//!   the saved-model loader, the LibSVM loader — see
 //!   [`rules::DECODE_FILES`] and `rules::decode_scope`).
 //!
 //! The escape hatch is part of the contract: every `lint: allow` must

@@ -30,12 +30,13 @@ use crate::scan::SourceFile;
 /// (workspace-relative). The whole non-test file is covered by the
 /// unwrap/expect/panic rules; the index/cast/debug-assert rules narrow
 /// further to decode-side functions via [`decode_scope`].
-pub const DECODE_FILES: [&str; 5] = [
+pub const DECODE_FILES: [&str; 6] = [
     "crates/cluster/src/wire.rs",
     "crates/cluster/src/transport.rs",
     "crates/cluster/src/procnode.rs",
     "crates/obs/src/json.rs",
     "crates/model/src/saved.rs",
+    "crates/sparse/src/libsvm.rs",
 ];
 
 /// Crates whose `src/` trees carry the bit-identity guarantees (the
@@ -97,6 +98,9 @@ fn decode_scope(path: &str, fn_name: &str, impl_name: &str) -> bool {
         // Loading a saved model from a file; `to_dense` is not a decode
         // function and relies on `validate` having run.
         matches!(fn_name, "read_from" | "load" | "from_json" | "uint")
+    } else if path.ends_with("sparse/src/libsvm.rs") {
+        // The LibSVM loader: everything but the writers reads file bytes.
+        !fn_name.is_empty() && !fn_name.starts_with("write_")
     } else {
         false
     }
@@ -466,6 +470,27 @@ mod tests {
             .map(|x| (x.rule, x.line))
             .collect();
         assert_eq!(rules, vec![("decode-index", 1)]);
+    }
+
+    #[test]
+    fn libsvm_loader_is_decode_scope() {
+        let src = "fn parse_line(v: &[u8], n: u64) -> u8 { let _ = n as u32; v[0] }\n\
+                   impl Segment { fn parse(&mut self, v: &[u8]) { v.first().unwrap(); v[1]; } }\n\
+                   fn write_writer(v: &[u8]) -> u8 { v[0] }\n";
+        let rules: Vec<_> = run("crates/sparse/src/libsvm.rs", src)
+            .iter()
+            .map(|x| (x.rule, x.line))
+            .collect();
+        assert_eq!(
+            rules,
+            vec![
+                ("decode-cast", 1),
+                ("decode-index", 1),
+                ("decode-unwrap", 2),
+                ("decode-index", 2),
+            ],
+            "the writer is out of index scope"
+        );
     }
 
     #[test]

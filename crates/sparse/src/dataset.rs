@@ -111,6 +111,28 @@ pub struct Dataset {
 }
 
 impl Dataset {
+    /// Assembles a dataset from CSR arrays the caller has validated:
+    /// `offsets` starts at 0 and ends at `indices.len()`, and each row's
+    /// indices are strictly increasing and below `dim`.
+    pub(crate) fn from_csr(
+        dim: usize,
+        offsets: Vec<usize>,
+        indices: Vec<u32>,
+        values: Vec<f64>,
+        labels: Vec<f64>,
+    ) -> Dataset {
+        debug_assert_eq!(offsets.len(), labels.len() + 1);
+        debug_assert_eq!(offsets.last(), Some(&indices.len()));
+        debug_assert_eq!(indices.len(), values.len());
+        Dataset {
+            dim,
+            offsets,
+            indices,
+            values,
+            labels,
+        }
+    }
+
     /// Number of samples.
     pub fn n_samples(&self) -> usize {
         self.labels.len()
